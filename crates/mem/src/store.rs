@@ -74,32 +74,28 @@ impl SparseMemory {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         self.capacity.hash(&mut h);
+        self.visit_pages(|id, page| {
+            id.hash(&mut h);
+            page[..].hash(&mut h);
+        });
+        h.finish()
+    }
+
+    /// Calls `f(page_id, bytes)` for every resident page in ascending
+    /// page id order, by reference — the checkpoint exporter's and
+    /// `content_digest`'s view. All materialized pages are visited,
+    /// even all-zero ones, because `resident_pages` (and therefore the
+    /// `Debug` output and `content_digest`) counts them. `f` runs with
+    /// the page's shard locked, so it must not access this store.
+    pub fn visit_pages(&self, mut f: impl FnMut(u64, &[u8; PAGE_BYTES])) {
         let mut ids: Vec<u64> = Vec::new();
         for shard in &self.shards {
             ids.extend(shard.lock().keys().copied());
         }
         ids.sort_unstable();
         for id in ids {
-            id.hash(&mut h);
-            let shard = self.shard(id).lock();
-            shard[&id][..].hash(&mut h);
+            f(id, &self.shard(id).lock()[&id]);
         }
-        h.finish()
-    }
-
-    /// Every resident page as `(page_id, bytes)`, sorted by page id —
-    /// the checkpoint exporter's view. All materialized pages are
-    /// included, even all-zero ones, because `resident_pages` (and
-    /// therefore the `Debug` output and `content_digest`) counts them.
-    pub fn export_pages(&self) -> Vec<(u64, Box<[u8; PAGE_BYTES]>)> {
-        let mut pages: Vec<(u64, Box<[u8; PAGE_BYTES]>)> = Vec::new();
-        for shard in &self.shards {
-            for (id, page) in shard.lock().iter() {
-                pages.push((*id, page.clone()));
-            }
-        }
-        pages.sort_unstable_by_key(|(id, _)| *id);
-        pages
     }
 
     /// Materializes `page_id` with exactly `bytes`, replacing any

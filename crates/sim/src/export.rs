@@ -13,9 +13,9 @@
 //! hot path.
 
 use crate::hist::Hist;
+use crate::jsonv::escape_into;
 use crate::regs::{REG_GRLL, REG_LRLL};
 use crate::sim::HmcSim;
-use crate::snapshot::json_escape;
 use crate::telemetry::Stage;
 use std::collections::BTreeMap;
 
@@ -151,7 +151,9 @@ impl TelemetryReport {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("\"{}\":", json_escape(path)));
+            s.push('"');
+            escape_into(&mut s, path);
+            s.push_str("\":");
             match value {
                 MetricValue::Counter(v) => {
                     s.push_str(&format!("{{\"type\":\"counter\",\"value\":{v}}}"));

@@ -18,7 +18,7 @@
 //! produce identical bytes for identical values, which the fuzz
 //! corpus relies on for stable round trips.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value (integer-only numbers).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +56,59 @@ fn err<T>(message: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError { message: message.into() })
 }
 
+/// Whether `b` ends a plain run inside a JSON string: the closing
+/// quote, a backslash, or a control byte. The writer escapes exactly
+/// these bytes; the parser stops at them. Non-short-circuit `|` keeps
+/// the test branch-free, so [`plain_run`]'s block fold vectorizes.
+fn ends_run(b: u8) -> bool {
+    (b == b'"') | (b == b'\\') | (b < 0x20)
+}
+
+/// Length of the leading run of `bytes` that contains no [`ends_run`]
+/// byte. Whole 16-byte blocks are tested with a branch-free fold the
+/// compiler vectorizes; the block holding the stop byte is then
+/// searched byte by byte.
+fn plain_run(bytes: &[u8]) -> usize {
+    let mut n = 0;
+    for block in bytes.chunks_exact(16) {
+        if block.iter().fold(false, |hit, &b| hit | ends_run(b)) {
+            break;
+        }
+        n += 16;
+    }
+    n + bytes[n..].iter().position(|&b| ends_run(b)).unwrap_or(bytes.len() - n)
+}
+
+/// Appends `s` to `out` with JSON string escaping (without the
+/// surrounding quotes). A string with nothing to escape is one scan and
+/// one copy.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut pos = 0;
+    loop {
+        let run = plain_run(&bytes[pos..]);
+        out.push_str(&s[pos..pos + run]);
+        pos += run;
+        let Some(&b) = bytes.get(pos) else { return };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xF) as usize] as char);
+            }
+        }
+        pos += 1;
+    }
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -106,6 +158,13 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy everything up to the next quote, backslash or control
+            // byte in one slice copy. Those stop bytes are ASCII and the
+            // input is a `&str`, so both ends of the run are char
+            // boundaries and multibyte UTF-8 needs no reassembly.
+            let start = self.pos;
+            self.pos += plain_run(&self.bytes[start..]);
+            s.push_str(&self.text[start..self.pos]);
             match self.bump() {
                 None => return self.fail("unterminated string"),
                 Some(b'"') => return Ok(s),
@@ -140,28 +199,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return self.fail("invalid escape"),
                 },
-                Some(b) if b < 0x20 => return self.fail("raw control character in string"),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return self.fail("invalid UTF-8 byte in string"),
-                    };
-                    let start = self.pos - 1;
-                    if start + len > self.bytes.len() {
-                        return self.fail("truncated UTF-8 sequence");
-                    }
-                    match std::str::from_utf8(&self.bytes[start..start + len]) {
-                        Ok(chunk) => {
-                            s.push_str(chunk);
-                            self.pos = start + len;
-                        }
-                        Err(_) => return self.fail("invalid UTF-8 sequence in string"),
-                    }
-                }
+                Some(_) => return self.fail("raw control character in string"),
             }
         }
     }
@@ -254,7 +292,7 @@ impl<'a> Parser<'a> {
 impl Json {
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -274,10 +312,10 @@ impl Json {
         match self {
             Json::Null => s.push_str("null"),
             Json::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => s.push_str(&v.to_string()),
+            Json::Int(v) => write!(s, "{v}").expect("writing to a String cannot fail"),
             Json::Str(v) => {
                 s.push('"');
-                s.push_str(&crate::snapshot::json_escape(v));
+                escape_into(s, v);
                 s.push('"');
             }
             Json::Arr(items) => {
@@ -297,7 +335,7 @@ impl Json {
                         s.push(',');
                     }
                     s.push('"');
-                    s.push_str(&crate::snapshot::json_escape(k));
+                    escape_into(s, k);
                     s.push_str("\":");
                     v.write(s);
                 }
@@ -539,5 +577,139 @@ mod tests {
     fn parses_unicode_and_escapes() {
         let v = Json::parse("\"caf\\u00e9 → ok\"").unwrap();
         assert_eq!(v.as_str(), Some("café → ok"));
+    }
+
+    /// A rendered snapshot of a two-link, one-vault device, plus a
+    /// string field holding every kind of escape and multibyte
+    /// character. The tag pools' free lists (18 KB of integers) are
+    /// left out so the document is small enough to parse once per
+    /// byte in a debug build.
+    fn small_checkpoint() -> String {
+        let config = crate::DeviceConfig {
+            links: 2,
+            quads: 1,
+            vaults_per_quad: 1,
+            banks_per_vault: 1,
+            capacity: 1 << 12,
+            ..crate::DeviceConfig::gen2_4link_4gb()
+        };
+        let sim = crate::HmcSim::new(config).unwrap();
+        let mut v = sim.snapshot().to_json_value();
+        let Json::Obj(fields) = &mut v else { panic!("a snapshot renders as an object") };
+        fields.retain(|(k, _)| k != "tag_pools");
+        fields.push(("note".into(), Json::Str("q\"b\\n\nc\u{1}é→😀".into())));
+        v.render()
+    }
+
+    #[test]
+    fn every_truncation_and_byte_mutation_parses_or_errs() {
+        let text = small_checkpoint();
+        assert_eq!(Json::parse(&text).unwrap().render(), text);
+        for end in 0..text.len() {
+            if let Some(prefix) = text.get(..end) {
+                assert!(Json::parse(prefix).is_err(), "prefix of {end} bytes parsed");
+            }
+        }
+        for i in 0..text.len() {
+            for b in [b'"', b'\\', 0x01, b'z'] {
+                let mut bytes = text.clone().into_bytes();
+                bytes[i] = b;
+                let Ok(mutated) = String::from_utf8(bytes) else { continue };
+                if let Ok(v) = Json::parse(&mutated) {
+                    assert_eq!(Json::parse(&v.render()).unwrap(), v, "byte {i} -> {b:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strings_parse_and_render_as_pinned() {
+        for (text, want) in [
+            ("\"plain ascii run\"", "plain ascii run"),
+            ("\"ab\\\"cd\\\\ef\\ngh\"", "ab\"cd\\ef\ngh"),
+            ("\"caf\\u00e9 ok\"", "café ok"),
+            ("\"x é y → z 😀 w\"", "x é y → z 😀 w"),
+            ("\"é\"", "é"),
+            ("\"😀\"", "😀"),
+            ("\"ab\u{7f}cd\"", "ab\u{7f}cd"),
+            ("\"a\\/b\\b\\f\\r\\t\"", "a/b\u{8}\u{c}\r\t"),
+            ("\"\"", ""),
+        ] {
+            let v = Json::parse(text).unwrap();
+            assert_eq!(v.as_str(), Some(want), "{text}");
+            assert_eq!(Json::parse(&v.render()).unwrap(), v, "{text}");
+        }
+        for (value, rendered) in [
+            ("a\"b\\c", "\"a\\\"b\\\\c\""),
+            ("x\u{1}\u{1f}\n\r\t\u{8}\u{c}y", "\"x\\u0001\\u001f\\n\\r\\t\\u0008\\u000cy\""),
+            ("é → 😀\u{7f}", "\"é → 😀\u{7f}\""),
+        ] {
+            assert_eq!(Json::Str(value.into()).render(), rendered);
+        }
+    }
+
+    #[test]
+    fn string_errors_are_pinned() {
+        for (text, message) in [
+            ("\"abc", "unterminated string at byte 4"),
+            ("\"ab\u{1}cd\"", "raw control character in string at byte 4"),
+            ("\"ab\tcd\"", "raw control character in string at byte 4"),
+            ("\"é\u{1}\"", "raw control character in string at byte 4"),
+            ("{\"k\u{1}\":1}", "raw control character in string at byte 4"),
+            ("\"ab\\qcd\"", "invalid escape at byte 5"),
+            ("\"ab\\", "invalid escape at byte 4"),
+            ("[\"a\",\"b\\", "invalid escape at byte 8"),
+            ("\"ab\\u12\"", "truncated \\u escape at byte 5"),
+            ("\"ab\\uzzzzx\"", "invalid \\u escape at byte 5"),
+            ("\"ab\\ud800x\"", "unsupported surrogate \\u escape at byte 9"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err().message, message, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn escapes_at_every_block_offset_round_trip() {
+        // Moves one escaped byte across the 16-byte scan blocks.
+        for len in 0..40 {
+            for at in 0..=len {
+                for (raw, escaped) in [("\"", "\\\""), ("\\", "\\\\"), ("\u{1}", "\\u0001")] {
+                    let value = format!("{}{raw}{}", "a".repeat(at), "é".repeat(len - at));
+                    let text = format!("\"{}{escaped}{}\"", "a".repeat(at), "é".repeat(len - at));
+                    assert_eq!(Json::Str(value.clone()).render(), text);
+                    assert_eq!(Json::parse(&text).unwrap(), Json::Str(value));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integers_parse_and_render_as_pinned() {
+        for (text, rendered) in [
+            ("-0", "0"),
+            ("007", "7"),
+            ("999999999999999999", "999999999999999999"),
+            ("-999999999999999999", "-999999999999999999"),
+            ("1000000000000000000", "1000000000000000000"),
+            ("18446744073709551615", "18446744073709551615"),
+            ("170141183460469231731687303715884105727", "170141183460469231731687303715884105727"),
+            (
+                "-170141183460469231731687303715884105728",
+                "-170141183460469231731687303715884105728",
+            ),
+        ] {
+            let v = Json::parse(text).unwrap();
+            assert_eq!(v.render(), rendered);
+        }
+        for (text, message) in [
+            ("-", "invalid integer `-` at byte 1"),
+            ("[1,-]", "invalid integer `-` at byte 4"),
+            (
+                "170141183460469231731687303715884105728",
+                "invalid integer `170141183460469231731687303715884105728` at byte 39",
+            ),
+            ("01.5", "non-integer number (floats are not accepted) at byte 2"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap_err().message, message, "{text:?}");
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! nondeterministic iteration order — identical snapshots render
 //! byte-identical JSON.
 
-use crate::snapshot::json_escape;
+use crate::jsonv::escape_into;
 use crate::trace::{FlightLane, FlightSnapshot, TraceKind, TraceRecord};
 
 /// Options controlling what [`export`] renders.
@@ -132,7 +132,8 @@ pub fn trace_events(snap: &FlightSnapshot, opts: &PerfettoOptions) -> String {
             TraceKind::IdleSkip => r.b.max(1),
             _ => 1,
         };
-        let detail = json_escape(&r.render_detail(|idx| snap.resolve(idx)));
+        let mut detail = String::new();
+        escape_into(&mut detail, &r.render_detail(|idx| snap.resolve(idx)));
         let name = r.kind.name();
         push(
             &mut out,

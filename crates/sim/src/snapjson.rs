@@ -134,37 +134,67 @@ fn read_u64_list(v: &Json, ctx: &str) -> Result<Vec<u64>, JsonError> {
 // Hex page encoding
 // ---------------------------------------------------------------------------
 
-fn hex_encode(bytes: &[u8]) -> String {
+/// Two lowercase hex digits for every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        s.push(HEX[(b >> 4) as usize] as char);
-        s.push(HEX[(b & 0xF) as usize] as char);
+    let mut table = [[0u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [HEX[b >> 4], HEX[b & 0xF]];
+        b += 1;
     }
-    s
+    table
+};
+
+/// The value of every hex digit (either case); `0xFF` marks a byte
+/// that is not one.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [0xFFu8; 256];
+    let mut d = 0;
+    while d < 10 {
+        table[b'0' as usize + d] = d as u8;
+        d += 1;
+    }
+    while d < 16 {
+        table[b'a' as usize + d - 10] = d as u8;
+        table[b'A' as usize + d - 10] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+fn hex_encode(bytes: &[u8]) -> String {
+    let mut digits = vec![0u8; bytes.len() * 2];
+    for (pair, &b) in digits.chunks_exact_mut(2).zip(bytes) {
+        pair.copy_from_slice(&HEX_PAIRS[b as usize]);
+    }
+    String::from_utf8(digits).expect("hex digits are ASCII")
 }
 
-fn hex_decode(s: &str, ctx: &str) -> Result<Vec<u8>, JsonError> {
+/// Decodes the hex string `s` into the front of `out` and returns the
+/// decoded length, `s.len() / 2`. Every digit is checked, including
+/// those past the end of `out`, so a string that is both too long and
+/// malformed reports the bad digit, as a full decode would.
+fn hex_decode(s: &str, out: &mut [u8], ctx: &str) -> Result<usize, JsonError> {
     if !s.len().is_multiple_of(2) {
         return jerr(format!("{ctx}: odd-length hex string"));
     }
-    let digit = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        match (digit(pair[0]), digit(pair[1])) {
-            (Some(hi), Some(lo)) => out.push((hi << 4) | lo),
-            _ => return jerr(format!("{ctx}: invalid hex digit")),
-        }
+    let digits = s.as_bytes();
+    let split = digits.len().min(out.len() * 2);
+    // OR of every digit's value: above 0xF exactly when one was invalid.
+    let mut seen = 0u8;
+    for (byte, pair) in out.iter_mut().zip(digits[..split].chunks_exact(2)) {
+        let (hi, lo) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        seen |= hi | lo;
+        *byte = (hi << 4) | lo;
     }
-    Ok(out)
+    for &d in &digits[split..] {
+        seen |= HEX_VALUES[d as usize];
+    }
+    if seen > 0xF {
+        return jerr(format!("{ctx}: invalid hex digit"));
+    }
+    Ok(digits.len() / 2)
 }
 
 // ---------------------------------------------------------------------------
@@ -567,11 +597,10 @@ fn power_from_json(v: &Json) -> Result<PowerModel, JsonError> {
 }
 
 fn mem_json(mem: &SparseMemory) -> Json {
-    let pages: Vec<Json> = mem
-        .export_pages()
-        .into_iter()
-        .map(|(id, bytes)| Json::Arr(vec![int(id), Json::Str(hex_encode(&bytes[..]))]))
-        .collect();
+    let mut pages: Vec<Json> = Vec::new();
+    mem.visit_pages(|id, bytes| {
+        pages.push(Json::Arr(vec![int(id), Json::Str(hex_encode(bytes))]));
+    });
     obj(vec![("capacity", int(mem.capacity())), ("pages", Json::Arr(pages))])
 }
 
@@ -595,11 +624,12 @@ fn mem_from_json(v: &Json) -> Result<SparseMemory, JsonError> {
         let hex = pair[1]
             .as_str()
             .ok_or_else(|| JsonError { message: "mem: page bytes must be a hex string".into() })?;
-        let bytes = hex_decode(hex, "mem page")?;
-        let arr: &[u8; PAGE_BYTES] = bytes.as_slice().try_into().map_err(|_| JsonError {
-            message: format!("mem: page {id} holds {} bytes, expected {PAGE_BYTES}", bytes.len()),
-        })?;
-        mem.insert_page(id, arr)
+        let mut bytes = [0u8; PAGE_BYTES];
+        let len = hex_decode(hex, &mut bytes, "mem page")?;
+        if len != PAGE_BYTES {
+            return jerr(format!("mem: page {id} holds {len} bytes, expected {PAGE_BYTES}"));
+        }
+        mem.insert_page(id, &bytes)
             .map_err(|e| JsonError { message: format!("mem: page {id} rejected: {e}") })?;
     }
     Ok(mem)
@@ -1431,9 +1461,33 @@ mod tests {
     fn hex_round_trip() {
         let bytes: Vec<u8> = (0..=255u8).collect();
         let hex = hex_encode(&bytes);
-        assert_eq!(hex_decode(&hex, "t").unwrap(), bytes);
-        assert!(hex_decode("0", "t").is_err(), "odd length");
-        assert!(hex_decode("zz", "t").is_err(), "bad digit");
+        let mut back = [0u8; 256];
+        assert_eq!(hex_decode(&hex, &mut back, "t").unwrap(), 256);
+        assert_eq!(back[..], bytes[..]);
+        assert_eq!(hex_decode(&hex.to_uppercase(), &mut back, "t").unwrap(), 256);
+        assert_eq!(back[..], bytes[..], "upper-case digits decode too");
+        assert!(hex_decode("0", &mut back, "t").is_err(), "odd length");
+        assert!(hex_decode("zz", &mut back, "t").is_err(), "bad digit");
+    }
+
+    #[test]
+    fn page_errors_are_pinned() {
+        let doc = |hex: String| {
+            let page = Json::Arr(vec![int(3), Json::Str(hex)]);
+            obj(vec![("capacity", int(1 << 20)), ("pages", Json::Arr(vec![page]))])
+        };
+        let full = "a5".repeat(PAGE_BYTES);
+        for (hex, message) in [
+            ("abc".to_string(), "mem page: odd-length hex string"),
+            (format!("{}zz", &full[2..]), "mem page: invalid hex digit"),
+            ("abcd".to_string(), "mem: page 3 holds 2 bytes, expected 4096"),
+            (format!("{full}zz"), "mem page: invalid hex digit"),
+            (format!("{full}00"), "mem: page 3 holds 4097 bytes, expected 4096"),
+        ] {
+            assert_eq!(mem_from_json(&doc(hex)).unwrap_err().message, message);
+        }
+        let mem = mem_from_json(&doc(full.to_uppercase())).unwrap();
+        assert_eq!(mem_json(&mem), doc(full), "upper-case digits re-render lower-case");
     }
 
     #[test]

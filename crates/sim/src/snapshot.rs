@@ -22,6 +22,7 @@
 //! keeps those parts from the live context.
 
 use crate::device::{Device, TrackedRequest, TrackedResponse, Vault};
+use crate::jsonv::escape_into;
 use crate::link::LinkControl;
 use crate::queue::BoundedQueue;
 use crate::sanitizer::{SanitizerShadow, Violation};
@@ -347,23 +348,6 @@ impl SimSnapshot {
     }
 }
 
-/// Escapes a string for embedding in JSON.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Writes a bounded sorted JSON array of small integers.
 fn bounded_u16_set(s: &mut String, items: impl Iterator<Item = u16>) {
     let mut v: Vec<u16> = items.collect();
@@ -389,13 +373,11 @@ fn rqst_queue_json(s: &mut String, q: &BoundedQueue<TrackedRequest>) {
         if i > 0 {
             s.push(',');
         }
+        s.push_str(&format!("{{\"tag\":{},\"cmd\":\"", item.req.head.tag.value()));
+        escape_into(s, &item.req.head.cmd.mnemonic());
         s.push_str(&format!(
-            "{{\"tag\":{},\"cmd\":\"{}\",\"addr\":\"{:#x}\",\"seq\":{},\"issue\":{}}}",
-            item.req.head.tag.value(),
-            json_escape(&item.req.head.cmd.mnemonic()),
-            item.req.head.addr,
-            item.req.tail.seq,
-            item.issue_cycle
+            "\",\"addr\":\"{:#x}\",\"seq\":{},\"issue\":{}}}",
+            item.req.head.addr, item.req.tail.seq, item.issue_cycle
         ));
     }
     if q.len() > 64 {
@@ -548,11 +530,12 @@ impl ForensicDump {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"cycle\":{},\"kind\":\"{}\",\"detail\":\"{}\"}}",
+                "{{\"cycle\":{},\"kind\":\"{}\",\"detail\":\"",
                 v.cycle,
-                v.kind.name(),
-                json_escape(&v.detail)
+                v.kind.name()
             ));
+            escape_into(&mut s, &v.detail);
+            s.push_str("\"}");
         }
         s.push_str("],\"trace\":[");
         for (i, line) in self.trace.iter().enumerate() {
@@ -560,7 +543,7 @@ impl ForensicDump {
                 s.push(',');
             }
             s.push('"');
-            s.push_str(&json_escape(line));
+            escape_into(&mut s, line);
             s.push('"');
         }
         s.push_str("],\"telemetry\":");
